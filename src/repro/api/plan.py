@@ -358,19 +358,13 @@ class CompiledPlan:
         :func:`repro.runtime.codegen.compile_fused` under ``backend``
         (default: the same resolution the serving tier uses) and reports
         the outcome: whether a fused executable exists, its region
-        structure against the interpreter tape's step count, the
-        columnwise batching slot, and numba availability.  Purely
-        introspective — nothing is executed and the serving state is not
-        touched.
+        structure against the interpreter tape's step count, and the
+        columnwise batching slot.  Purely introspective — nothing is
+        executed and the serving state is not touched.
         """
         # Local import: codegen pulls in the tape runtime, which this
         # module must not import eagerly.
-        from repro.runtime.codegen import (
-            compile_fused,
-            numba_available,
-            resolve_backend,
-            stackable_slot,
-        )
+        from repro.runtime.codegen import compile_fused, resolve_backend, stackable_slot
         from repro.runtime.tape import TapePlan
 
         with self._lock:
@@ -388,7 +382,6 @@ class CompiledPlan:
         info: Dict[str, object] = {
             "backend": choice,
             "fused": fused is not None,
-            "numba_available": numba_available(),
             "tape_steps": len(TapePlan(entry.slot_plan, n_slots, ring=self.ring)),
             "batch_slot": stackable_slot(entry.slot_plan, n_slots),
         }
@@ -396,7 +389,6 @@ class CompiledPlan:
             info["regions"] = len(fused)
             info["fused_regions"] = fused.fused_regions
             info["fused_operators"] = fused.fused_operators
-            info["numba_active"] = fused.numba_active
             info["region_labels"] = [
                 fused.step_label(index) for index in range(len(fused))
             ]
@@ -463,9 +455,8 @@ class CompiledPlan:
                 else "unsupported construct"
             )
             return f"interpreter ({reason}), tape {info['tape_steps']} steps{batch}"
-        numba = ", numba" if info.get("numba_active") else ""
         return (
-            f"{info['backend']} backend{numba}: {info['regions']} regions"
+            f"fused: {info['regions']} regions"
             f" ({info['fused_regions']} fused, {info['fused_operators']} operators"
             f" fused) vs tape {info['tape_steps']} steps{batch}"
         )
@@ -490,8 +481,8 @@ class CompiledPlan:
         predicted-cost-vs-measured table.
 
         ``backend="tape"`` (the default) profiles the interpreter tape,
-        one step per operator.  ``backend="fused"`` (or any codegen
-        backend name) profiles the fused executable instead: one step per
+        one step per operator.  ``backend="fused"`` profiles the fused
+        executable instead: one step per
         *region*, with each row's predicted cost summed over the plan
         nodes the region covers (``step_group``), so fused rows stay
         truthful about what they measure; when codegen cannot serve the

@@ -25,7 +25,9 @@ Two practical additions beyond the paper's figure:
 
 The solver is HiGHS through :func:`scipy.optimize.milp`; the paper used
 Gurobi.  If the solve fails or exceeds the time limit, extraction falls back
-to the greedy algorithm so the optimizer always returns a plan.
+to the greedy algorithm so the optimizer always returns a plan; the
+fallback's :class:`ILPStats` still reports the encoded problem size and the
+solver's status.
 """
 
 from __future__ import annotations
@@ -157,6 +159,7 @@ class ILPExtractor:
         bounds_upper = np.ones(num_vars)
         bounds_upper[level_offset:] = big_m
 
+        size = {"num_variables": num_vars, "num_constraints": len(rows)}
         try:
             result = milp(
                 c=objective,
@@ -166,10 +169,11 @@ class ILPExtractor:
                 options={"time_limit": self.time_limit, "presolve": True},
             )
         except Exception as error:  # pragma: no cover - solver-side failures
-            return self._fallback(egraph, root, f"solver error: {error}")
+            return self._fallback(egraph, root, f"solver error: {error}", **size)
 
         if not result.success or result.x is None:
-            return self._fallback(egraph, root, f"solver status {result.status}")
+            reason = f"solver status {result.status}: {result.message}"
+            return self._fallback(egraph, root, reason, **size)
 
         selection = result.x[:num_ops] > 0.5
         chosen: Dict[int, ENode] = {}
@@ -177,16 +181,16 @@ class ILPExtractor:
             if selection[op_index] and cid not in chosen:
                 chosen[cid] = node
         self.last_stats = ILPStats(
-            num_variables=num_vars,
-            num_constraints=len(rows),
-            solver_status="optimal" if result.success else str(result.status),
+            **size,
+            solver_status="optimal",
             objective=float(result.fun) if result.fun is not None else None,
             used_fallback=False,
         )
         try:
             expr = self._build(egraph, root, chosen, {}, set())
         except (ExtractionError, RecursionError) as error:
-            return self._fallback(egraph, root, str(error) or type(error).__name__)
+            reason = str(error) or type(error).__name__
+            return self._fallback(egraph, root, reason, **size)
         return ExtractionResult(expr=expr, cost=float(result.fun), class_costs=None)
 
     # -- helpers -----------------------------------------------------------------
@@ -215,10 +219,18 @@ class ILPExtractor:
         cache[class_id] = expr
         return expr
 
-    def _fallback(self, egraph: EGraph, root: int, reason: str) -> ExtractionResult:
+    def _fallback(
+        self,
+        egraph: EGraph,
+        root: int,
+        reason: str,
+        num_variables: int = 0,
+        num_constraints: int = 0,
+    ) -> ExtractionResult:
+        """Greedy extraction, recording the ILP's size (0 if never encoded)."""
         self.last_stats = ILPStats(
-            num_variables=0,
-            num_constraints=0,
+            num_variables=num_variables,
+            num_constraints=num_constraints,
             solver_status=f"fallback ({reason})",
             objective=None,
             used_fallback=True,

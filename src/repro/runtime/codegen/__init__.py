@@ -1,18 +1,15 @@
 """Fused-kernel code generation for tape plans.
 
-Lowers a slot-space plan to fused, cached, executable Python (optionally
-numba-jitted) with bitwise interpreter parity, plus the columnwise
-batching analysis the serving tier uses to stack same-fingerprint matvec
-requests into one matmat.  See ``docs/codegen.md``.
+Lowers a slot-space plan to fused, cached, executable Python with bitwise
+interpreter parity, plus the columnwise batching analysis the serving tier
+uses to stack same-fingerprint matvec requests into one matmat.  See ``docs/codegen.md``.
 """
 
 from repro.runtime.codegen.backend import (
-    BACKEND_ENV,
     BACKENDS,
     build_executable,
     clear_module_cache,
     compile_fused,
-    numba_available,
     resolve_backend,
 )
 from repro.runtime.codegen.batching import stackable_slot
@@ -27,7 +24,6 @@ from repro.runtime.codegen.regions import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
     "BACKENDS",
     "CODEGEN_VERSION",
     "CodegenUnsupported",
@@ -38,7 +34,6 @@ __all__ = [
     "clear_module_cache",
     "compile_fused",
     "emit_source",
-    "numba_available",
     "plan_regions",
     "resolve_backend",
     "source_digest",

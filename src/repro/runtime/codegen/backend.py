@@ -1,4 +1,4 @@
-"""Backend selection, module compilation and the two source caches.
+"""Codegen switch, module compilation and the two source caches.
 
 ``compile_fused`` is the single entry point: it plans regions, obtains the
 module source (from the :class:`~repro.serialize.store.PlanStore` kernel
@@ -16,14 +16,12 @@ condition              behaviour
 non-real semiring      no codegen (ring kernels are dense-generic
                        and own their own dispatch)
 unsupported node       no codegen (``CodegenUnsupported``)
-``backend="numba"``,   Python source backend, ``numba_active`` is
-numba not importable   False — silent, recorded on the plan
 sparse region input    that region runs its interpreter fallback
 at run time            (``FusedPlan.fallback_runs``)
 =====================  ==========================================
 
 Caching: compiled module namespaces are memoized in-process keyed by
-(source hash, ring, numba); the source text itself is persisted through the
+(source hash, ring); the source text itself is persisted through the
 plan store keyed by template digest + config digest + ring + codegen
 version, so a warm-starting process reuses audited sources instead of
 re-emitting them.  Sources are size-free (constants live on the runtime
@@ -33,7 +31,6 @@ size ladder.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, Mapping, Optional, Tuple, Union
@@ -48,38 +45,17 @@ from repro.runtime.codegen.regions import (
 from repro.runtime.semiring import Semiring, resolve_semiring
 from repro.runtime.tape import TapePlan
 
-BACKENDS = ("auto", "python", "numba", "off")
-
-#: environment override for the default backend (feature flag)
-BACKEND_ENV = "REPRO_CODEGEN_BACKEND"
+#: ``"auto"`` compiles fused code wherever it applies, ``"off"`` never does
+BACKENDS = ("auto", "off")
 
 _CACHE_LIMIT = 256
-_MODULE_CACHE: "OrderedDict[Tuple[str, str, bool], Dict[str, object]]" = OrderedDict()
+_MODULE_CACHE: "OrderedDict[Tuple[str, str], Dict[str, object]]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
-
-_NUMBA_AVAILABLE: Optional[bool] = None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba backend can actually import (cached)."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_AVAILABLE = True
-        except Exception:
-            _NUMBA_AVAILABLE = False
-    return _NUMBA_AVAILABLE
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalize a backend request (None/"auto" honours the env flag)."""
+    """Validate a codegen request (``None`` means ``"auto"``)."""
     choice = backend or "auto"
-    if choice == "auto":
-        choice = os.environ.get(BACKEND_ENV, "python") or "python"
-    if choice == "auto":
-        choice = "python"
     if choice not in BACKENDS:
         raise ValueError(f"unknown codegen backend {choice!r}; expected {BACKENDS}")
     return choice
@@ -91,30 +67,16 @@ def clear_module_cache() -> None:
         _MODULE_CACHE.clear()
 
 
-def _compile_module(source: str, tag: str, use_numba: bool) -> Dict[str, object]:
-    namespace: Dict[str, object] = {}
-    code = compile(source, f"<repro-codegen:{tag}>", "exec")
-    exec(code, namespace)  # noqa: S102 - our own deterministic emitter output
-    if use_numba:
-        import numba
-
-        meta = namespace["META"]
-        for index in meta["numba_regions"]:  # type: ignore[index]
-            name = f"_core_{index}"
-            namespace[name] = numba.njit(cache=False)(namespace[name])
-    return namespace
-
-
-def _cached_module(
-    source: str, ring_name: str, use_numba: bool
-) -> Dict[str, object]:
-    key = (source_digest(source), ring_name, use_numba)
+def _cached_module(source: str, ring_name: str) -> Dict[str, object]:
+    key = (source_digest(source), ring_name)
     with _CACHE_LOCK:
         cached = _MODULE_CACHE.get(key)
         if cached is not None:
             _MODULE_CACHE.move_to_end(key)
             return cached
-    namespace = _compile_module(source, key[0][:12], use_numba)
+    namespace: Dict[str, object] = {}
+    code = compile(source, f"<repro-codegen:{key[0][:12]}>", "exec")
+    exec(code, namespace)  # noqa: S102 - our own deterministic emitter output
     with _CACHE_LOCK:
         _MODULE_CACHE[key] = namespace
         while len(_MODULE_CACHE) > _CACHE_LIMIT:
@@ -141,7 +103,6 @@ def compile_fused(
     choice = resolve_backend(backend)
     if choice == "off" or not resolved_ring.is_real:
         return None
-    use_numba = choice == "numba" and numba_available()
     try:
         region_plan = plan_regions(expr, n_slots, slot_sparsity)
     except CodegenUnsupported:
@@ -158,22 +119,15 @@ def compile_fused(
             store.save_kernel(digest, source, resolved_ring.name)
 
     try:
-        namespace = _cached_module(source, resolved_ring.name, use_numba)
+        namespace = _cached_module(source, resolved_ring.name)
     except Exception:
         # a stored source that passed its checksum but does not compile —
         # regenerate from scratch rather than failing the request path
         source = emit_source(region_plan, resolved_ring.name)
         if store is not None and digest:
             store.save_kernel(digest, source, resolved_ring.name)
-        namespace = _cached_module(source, resolved_ring.name, use_numba)
-    return FusedPlan(
-        region_plan,
-        namespace,
-        source,
-        resolved_ring,
-        backend=choice if choice != "auto" else "python",
-        numba_active=use_numba,
-    )
+        namespace = _cached_module(source, resolved_ring.name)
+    return FusedPlan(region_plan, namespace, source, resolved_ring)
 
 
 def _source_matches(source: str, region_plan, ring_name: str) -> bool:

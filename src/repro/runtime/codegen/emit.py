@@ -11,8 +11,9 @@ serves a whole plan-template size ladder.
 Bitwise-parity contract (the repo convention: ``np.array_equal`` against
 the interpreter):
 
-* single-node regions call the interpreter's own kernel — identical by
-  construction;
+* single-node regions and kernel-call region roots call the interpreter's
+  own bound kernel (``rt.kernels[i]``, from :func:`repro.runtime.kernels.
+  bind`) — identical by construction;
 * multi-node regions compute interiors on raw dense ndarrays using exactly
   the kernels' formulas in the kernels' operand order (``l + -1.0 * r`` for
   subtraction, ``x * -1.0`` for negation, the same masked ``np.divide`` for
@@ -27,29 +28,21 @@ the interpreter):
 * every region with a raw-ndarray body is guarded: if any elementwise
   operand is sparse at run time, ``rt.fallback`` executes the region with
   the interpreter kernels step by step.
-
-Regions whose interiors use only ``+``/``-``/``*``/negation additionally
-get a ``_core_<i>`` function over bare ndarrays.  The optional numba
-backend jit-compiles exactly those cores (same IEEE arithmetic, no
-fastmath); transcendental and division chains stay on numpy to avoid libm
-divergence.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.lang import expr as la
 from repro.runtime.codegen.regions import (
     CODEGEN_VERSION,
+    ELEMWISE_TYPES,
     Operand,
     Region,
     RegionPlan,
 )
-
-#: interior ops whose emitted arithmetic numba reproduces bitwise
-_CORE_SAFE_TYPES = (la.ElemMul, la.ElemPlus, la.ElemMinus, la.Neg)
 
 
 def source_digest(source: str) -> str:
@@ -66,9 +59,8 @@ def emit_source(plan: RegionPlan, ring_name: str) -> str:
         "import numpy as np",
         "",
     ]
-    cores: Dict[int, List[int]] = {}
     for region in plan.regions:
-        lines.extend(_emit_region(region, cores))
+        lines.extend(_emit_region(region))
         lines.append("")
     lines.append("def run(vals, rt):")
     for region in plan.regions:
@@ -85,22 +77,21 @@ def emit_source(plan: RegionPlan, ring_name: str) -> str:
         f'"version": {CODEGEN_VERSION}, "ring": {ring_name!r}, '
         f'"regions": {len(plan.regions)}, '
         f'"fused_regions": {plan.fused_regions}, '
-        f'"fused_operators": {plan.fused_operators}, '
-        f'"numba_regions": {sorted(cores)!r}'
+        f'"fused_operators": {plan.fused_operators}'
         "}"
     )
     lines.append("")
     return "\n".join(lines)
 
 
-def _emit_region(region: Region, cores: Dict[int, List[int]]) -> List[str]:
+def _emit_region(region: Region) -> List[str]:
     if not region.fused:
-        node, operands = region.schedule[0]
+        operands = region.schedule[0][1]
         return [
             f"def _region_{region.index}(vals, rt):",
-            f"    return {_kernel_call(node, [_val_ref(op) for op in operands])}",
+            f"    return {_kernel_call(region, [_val_ref(op) for op in operands])}",
         ]
-    return _emit_fused_region(region, cores)
+    return _emit_fused_region(region)
 
 
 def _val_ref(operand: Operand) -> str:
@@ -110,7 +101,7 @@ def _val_ref(operand: Operand) -> str:
     return f"vals[{value}]"
 
 
-def _emit_fused_region(region: Region, cores: Dict[int, List[int]]) -> List[str]:
+def _emit_fused_region(region: Region) -> List[str]:
     body: List[str] = [f"def _region_{region.index}(vals, rt):"]
     # dense guard over every external operand an elementwise member reads
     for position in region.guard_positions:
@@ -123,65 +114,19 @@ def _emit_fused_region(region: Region, cores: Dict[int, List[int]]) -> List[str]
         body.append(f"    x{position} = v{position}.data")
 
     root, root_operands = region.schedule[-1]
-    interiors = region.schedule[:-1]
-    chain = list(interiors)
-    root_is_elemwise = isinstance(root, _ELEMWISE_EXPR_TYPES)
+    chain = list(region.schedule[:-1])
+    root_is_elemwise = isinstance(root, ELEMWISE_TYPES)
     if root_is_elemwise:
         chain.append((root, root_operands))
-
-    core_args = _core_eligible(region, chain, root_is_elemwise)
-    if core_args is not None:
-        cores[region.index] = core_args
-        args = ", ".join(f"x{p}" for p in core_args)
-        body.append(f"    t{len(chain) - 1} = _core_{region.index}({args})")
-    else:
-        for k, (node, operands) in enumerate(chain):
-            body.append(f"    t{k} = {_interior_expr(node, operands)}")
+    for k, (node, operands) in enumerate(chain):
+        body.append(f"    t{k} = {_interior_expr(node, operands)}")
 
     if root_is_elemwise:
         body.append(f"    return rt.boundary(t{len(chain) - 1})")
     else:
         refs = [_boundary_ref(op) for op in root_operands]
-        body.append(f"    return {_kernel_call(root, refs)}")
-
-    if core_args is not None:
-        args = ", ".join(f"x{p}" for p in core_args)
-        body.append("")
-        body.append(f"def _core_{region.index}({args}):")
-        for k, (node, operands) in enumerate(chain):
-            body.append(f"    t{k} = {_interior_expr(node, operands)}")
-        body.append(f"    return t{len(chain) - 1}")
+        body.append(f"    return {_kernel_call(region, refs)}")
     return body
-
-
-def _core_eligible(
-    region: Region, chain: List, root_is_elemwise: bool
-) -> "List[int] | None":
-    """Arg positions for a numba-safe core, or None when ineligible."""
-    for node, _operands in chain:
-        if not isinstance(node, _CORE_SAFE_TYPES):
-            return None
-    if not root_is_elemwise:
-        # the core returns only the final temporary, so a kernel-call root
-        # may reference no other temporary (e.g. a MatMul folding two
-        # separate chains is emitted inline instead)
-        _root, root_operands = region.schedule[-1]
-        tmp_refs = [value for kind, value in root_operands if kind == "tmp"]
-        if tmp_refs != [len(chain) - 1]:
-            return None
-    # guard positions double as the core's argument list
-    return list(region.guard_positions)
-
-
-_ELEMWISE_EXPR_TYPES = (
-    la.ElemMul,
-    la.ElemPlus,
-    la.ElemMinus,
-    la.ElemDiv,
-    la.Power,
-    la.Neg,
-    la.UnaryFunc,
-)
 
 
 def _ref(operand: Operand) -> str:
@@ -222,48 +167,6 @@ def _interior_expr(node: la.LAExpr, operands: Tuple[Operand, ...]) -> str:
     raise AssertionError(f"not an interior node: {type(node).__name__}")
 
 
-def _kernel_call(node: la.LAExpr, refs: List[str]) -> str:
-    """Interpreter-kernel call for a region root / single-node region."""
-    if isinstance(node, la.MatMul):
-        return f"rt.k.matmul({refs[0]}, {refs[1]})"
-    if isinstance(node, la.ElemMul):
-        return f"rt.k.elem_mul({refs[0]}, {refs[1]})"
-    if isinstance(node, la.ElemPlus):
-        return f"rt.k.elem_add({refs[0]}, {refs[1]})"
-    if isinstance(node, la.ElemMinus):
-        return f"rt.k.elem_sub({refs[0]}, {refs[1]})"
-    if isinstance(node, la.ElemDiv):
-        return f"rt.k.elem_div({refs[0]}, {refs[1]})"
-    if isinstance(node, la.Transpose):
-        return f"rt.k.transpose({refs[0]})"
-    if isinstance(node, la.RowSums):
-        return f"rt.k.row_sums({refs[0]})"
-    if isinstance(node, la.ColSums):
-        return f"rt.k.col_sums({refs[0]})"
-    if isinstance(node, la.Sum):
-        return f"rt.k.full_sum({refs[0]})"
-    if isinstance(node, la.Power):
-        return f"rt.k.power({refs[0]}, {node.exponent!r})"
-    if isinstance(node, la.Neg):
-        return f"rt.k.negate({refs[0]})"
-    if isinstance(node, la.UnaryFunc):
-        return f"rt.k.unary({node.func!r}, {refs[0]})"
-    if isinstance(node, la.CastScalar):
-        return f"rt.cast({refs[0]})"
-    if isinstance(node, la.WSLoss):
-        if len(refs) == 3:
-            return f"rt.k.wsloss({refs[0]}, {refs[1]}, {refs[2]}, None)"
-        return f"rt.k.wsloss({refs[0]}, {refs[1]}, {refs[2]}, {refs[3]})"
-    if isinstance(node, la.WCeMM):
-        return f"rt.k.wcemm({refs[0]}, {refs[1]}, {refs[2]})"
-    if isinstance(node, la.WDivMM):
-        return (
-            f"rt.k.wdivmm({refs[0]}, {refs[1]}, {refs[2]}, {node.multiply_left!r})"
-        )
-    if isinstance(node, la.SProp):
-        return f"rt.k.sprop({refs[0]})"
-    if isinstance(node, la.MMChain):
-        if len(refs) == 2:
-            return f"rt.k.mmchain({refs[0]}, {refs[1]}, None)"
-        return f"rt.k.mmchain({refs[0]}, {refs[1]}, {refs[2]})"
-    raise AssertionError(f"no kernel call for node {type(node).__name__}")
+def _kernel_call(region: Region, refs: List[str]) -> str:
+    """Call of the region root's bound interpreter kernel."""
+    return f"rt.kernels[{region.index}]({', '.join(refs)})"

@@ -10,15 +10,17 @@ region is the unit of work, so ``tape.step`` faults, reuse entries and
 profile rows map one-to-one onto regions.
 
 Every guarded region owns an interpreter fallback built from the same
-:class:`~repro.runtime.kernels.KernelSet` the tape uses: when a region's
+:func:`~repro.runtime.kernels.bind` binding the tape uses: when a region's
 dense guard trips at run time (a hinted-dense input arrived sparse), the
 region executes step-by-step through the kernels and stays bitwise
-identical to the tape.
+identical to the tape.  Region roots and single-node regions call their
+bound kernel through ``rt.kernels`` as well.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +32,12 @@ from repro.runtime.codegen.regions import Region, RegionPlan
 from repro.runtime.data import MatrixValue
 from repro.runtime.engine import ExecutionError, ExecutionResult, ExecutionStats
 from repro.runtime.semiring import Semiring
-from repro.runtime.tape import StepReuseCache, TapeProfilerLike, ValuePool
+from repro.runtime.tape import (
+    StepReuseCache,
+    TapeProfilerLike,
+    ValuePool,
+    run_hooked_steps,
+)
 
 
 def _ediv(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -45,19 +52,14 @@ def _boundary(array: np.ndarray) -> MatrixValue:
     return MatrixValue(array).compacted()
 
 
-def _cast(value: MatrixValue) -> MatrixValue:
-    return MatrixValue.scalar(value.scalar_value())
-
-
 class _Runtime:
     """The ``rt`` namespace emitted modules execute against."""
 
     __slots__ = (
-        "k",
+        "kernels",
         "fallback",
         "boundary",
         "ediv",
-        "cast",
         "u_exp",
         "u_log",
         "u_sqrt",
@@ -69,68 +71,16 @@ class _Runtime:
 
     def __init__(
         self,
-        kernel_set: kernels.KernelSet,
+        region_kernels: Tuple[Callable[..., MatrixValue], ...],
         fallback: Callable[[int, List[Optional[MatrixValue]]], MatrixValue],
     ) -> None:
-        self.k = kernel_set
+        #: per region, the bound kernel of its root
+        self.kernels = region_kernels
         self.fallback = fallback
         self.boundary = _boundary
         self.ediv = _ediv
-        self.cast = _cast
         for name, fn in kernels._UNARY_KERNELS.items():
             setattr(self, f"u_{name}", fn)
-
-
-def _step_callable(
-    node: la.LAExpr, kernel_set: kernels.KernelSet
-) -> Callable[..., MatrixValue]:
-    """The interpreter kernel for one node, as a positional callable.
-
-    Mirrors ``TapePlan._compile_node``'s dispatch exactly — the fallback
-    path must stay bitwise identical to the tape.
-    """
-    k = kernel_set
-    if isinstance(node, la.MatMul):
-        return k.matmul
-    if isinstance(node, la.ElemMul):
-        return k.elem_mul
-    if isinstance(node, la.ElemPlus):
-        return k.elem_add
-    if isinstance(node, la.ElemMinus):
-        return k.elem_sub
-    if isinstance(node, la.ElemDiv):
-        return k.elem_div
-    if isinstance(node, la.Transpose):
-        return k.transpose
-    if isinstance(node, la.RowSums):
-        return k.row_sums
-    if isinstance(node, la.ColSums):
-        return k.col_sums
-    if isinstance(node, la.Sum):
-        return k.full_sum
-    if isinstance(node, la.Power):
-        return lambda a, e=node.exponent, op=k.power: op(a, e)
-    if isinstance(node, la.Neg):
-        return k.negate
-    if isinstance(node, la.UnaryFunc):
-        return lambda a, f=node.func, op=k.unary: op(f, a)
-    if isinstance(node, la.CastScalar):
-        return _cast
-    if isinstance(node, la.WSLoss):
-        if isinstance(node.w, la.Literal) and node.w.value == 1.0:
-            return lambda x, u, v, op=k.wsloss: op(x, u, v, None)
-        return k.wsloss
-    if isinstance(node, la.WCeMM):
-        return k.wcemm
-    if isinstance(node, la.WDivMM):
-        return lambda x, u, v, ml=node.multiply_left, op=k.wdivmm: op(x, u, v, ml)
-    if isinstance(node, la.SProp):
-        return k.sprop
-    if isinstance(node, la.MMChain):
-        if isinstance(node.w, la.Literal) and node.w.value == 1.0:
-            return lambda x, v, op=k.mmchain: op(x, v, None)
-        return k.mmchain
-    raise ExecutionError(f"cannot interpret node {type(node).__name__}")
 
 
 def _build_fallback(
@@ -138,7 +88,7 @@ def _build_fallback(
 ) -> Callable[[List[Optional[MatrixValue]]], MatrixValue]:
     """Step-by-step interpreter execution of one region (guard fallback)."""
     steps = [
-        (_step_callable(node, kernel_set), operands)
+        (kernels.bind(node, kernel_set).kernel, operands)
         for node, operands in region.schedule
     ]
 
@@ -166,15 +116,11 @@ class FusedPlan:
         namespace: Dict[str, object],
         source: str,
         ring: Semiring,
-        backend: str,
-        numba_active: bool = False,
     ) -> None:
         self.ring = ring
         self._kernels = kernels.for_ring(ring)
         self.n_slots = region_plan.n_slots
         self.source = source
-        self.backend = backend
-        self.numba_active = numba_active
         self.meta: Dict[str, object] = dict(namespace["META"])  # type: ignore[arg-type]
         self._run = namespace["run"]
         self._region_fns: Sequence[Callable] = namespace["REGIONS"]  # type: ignore[assignment]
@@ -183,7 +129,7 @@ class FusedPlan:
         self._root = region_plan.root_position
         self._n_positions = region_plan.n_positions
         self._consts: List[Tuple[int, MatrixValue]] = [
-            (position, self._materialize(node))
+            (position, kernels.materialize(node, self._kernels))
             for position, node in region_plan.consts
         ]
         self._pool = ValuePool(self._n_positions, prefill=self._consts)
@@ -193,16 +139,16 @@ class FusedPlan:
             if region.fused
         }
         self._fallback_runs = 0
-        self._rt = _Runtime(self._kernels, self._run_fallback)
+        self._rt = _Runtime(
+            tuple(kernels.bind(region.root, self._kernels).kernel for region in self._regions),
+            self._run_fallback,
+        )
+        #: ``(step, output position, slot deps)`` per region for hooked runs
+        self._hooked_steps = [
+            (partial(fn, rt=self._rt), region.out_position, region.slot_deps)
+            for fn, region in zip(self._region_fns, self._regions)
+        ]
         self._fused_operators = region_plan.fused_operators
-
-    def _materialize(self, node: la.LAExpr) -> MatrixValue:
-        k = self._kernels
-        if isinstance(node, la.Literal):
-            return k.literal(node.value)
-        rows = node.fill_shape.rows.size  # type: ignore[attr-defined]
-        cols = node.fill_shape.cols.size  # type: ignore[attr-defined]
-        return k.fill(node.value, rows, cols)  # type: ignore[attr-defined]
 
     def _run_fallback(
         self, region_index: int, vals: List[Optional[MatrixValue]]
@@ -251,54 +197,25 @@ class FusedPlan:
     ) -> ExecutionResult:
         """Run the compiled regions over a positional slot-value vector.
 
-        Same contract as :meth:`TapePlan.execute`; the ``tape.step`` fault
-        site, reuse entries and profiler rows are keyed by region index.
+        Same contract as :meth:`TapePlan.execute`, through the same hooked
+        step loop; the ``tape.step`` fault site, reuse entries and profiler
+        rows are keyed by region index.
         """
         if len(values) != self.n_slots:
             raise ExecutionError(
                 f"fused plan expects {self.n_slots} slot values, got {len(values)}"
             )
         start = time.perf_counter()
-        if reuse is None and faults is None and profiler is None:
-            vals = self._pool.acquire()
-            vals[: self.n_slots] = values
-            try:
+        vals = self._pool.acquire()
+        vals[: self.n_slots] = values
+        try:
+            if reuse is None and faults is None and profiler is None:
                 value = self._run(vals, self._rt)
-            finally:
-                self._pool.release(vals)
-        else:
-            vals = [None] * self._n_positions
-            vals[: self.n_slots] = values
-            for position, const in self._consts:
-                vals[position] = const
-            rt = self._rt
-            for region in self._regions:
-                index = region.index
-                if faults is not None:
-                    faults.check("tape.step", str(index))
-                step_start = time.perf_counter() if profiler is not None else 0.0
-                reused = False
-                deps = region.slot_deps
-                if reuse is not None and deps:
-                    operands = tuple(vals[slot] for slot in deps)
-                    cached = reuse.lookup(index, operands)
-                    if cached is not None:
-                        vals[region.out_position] = cached
-                        reused = True
-                    else:
-                        result = self._region_fns[index](vals, rt)
-                        reuse.store(index, operands, result)
-                        vals[region.out_position] = result
-                else:
-                    vals[region.out_position] = self._region_fns[index](vals, rt)
-                if profiler is not None:
-                    profiler.record(
-                        index,
-                        time.perf_counter() - step_start,
-                        vals[region.out_position],
-                        reused,
-                    )
-            value = vals[self._root]
+            else:
+                run_hooked_steps(vals, self._hooked_steps, reuse, faults, profiler)
+                value = vals[self._root]
+        finally:
+            self._pool.release(vals)
         stats = ExecutionStats(
             elapsed=time.perf_counter() - start,
             operators_executed=len(self._regions),

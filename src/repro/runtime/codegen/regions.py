@@ -9,8 +9,9 @@ a handful of raw-ndarray ufunc calls with no materialized
 
 This module decides *where* that is sound.  It linearizes a slot-space plan
 exactly the way ``TapePlan._compile`` does (postorder, object-identity
-sharing, the unweighted ``WSLoss``/``MMChain`` weight-child skip) and then
-groups maximal single-consumer elementwise chains into **regions**:
+sharing, each node's operands as :func:`repro.runtime.kernels.bind` gives
+them) and then groups maximal single-consumer elementwise chains into
+**regions**:
 
 * an *interior* node is an elementwise operator (``ElemMul``/``ElemPlus``/
   ``ElemMinus``/``ElemDiv``/``Power``/``Neg``/``UnaryFunc``) consumed by
@@ -40,12 +41,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.canonical.fingerprint import sparsity_band
 from repro.lang import expr as la
-from repro.runtime.kernels import _UNARY_KERNELS
+from repro.runtime import kernels
 from repro.runtime.tape import _slot_index
 
 #: bump when the region/emission semantics change; embedded in emitted
 #: sources and in kernel-store keys so stale cached sources can never load
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 #: operand reference inside a region: ``("val", position)`` reads the shared
 #: value vector, ``("tmp", k)`` reads the k-th entry of the region schedule
@@ -63,9 +64,6 @@ ELEMWISE_TYPES = (
 
 #: node types an elementwise chain may fold into (the region roots)
 ROOT_FOLD_TYPES = ELEMWISE_TYPES + (la.Sum, la.RowSums, la.ColSums, la.MatMul)
-
-#: fused physical operators — single-node regions, counted as fused
-FUSED_KERNEL_TYPES = (la.WSLoss, la.WCeMM, la.WDivMM, la.SProp, la.MMChain)
 
 
 class CodegenUnsupported(RuntimeError):
@@ -136,10 +134,11 @@ class RegionPlan:
     def fused_operators(self) -> int:
         """Fused-work count matching the tape's ``fused_operators`` spirit:
         multi-node chains plus fused physical operators."""
+        real_kernels = kernels.for_ring(None)
         return sum(
             1
             for region in self.regions
-            if region.fused or isinstance(region.root, FUSED_KERNEL_TYPES)
+            if region.fused or kernels.bind(region.root, real_kernels).fused
         )
 
     def structure_digest(self) -> str:
@@ -183,16 +182,6 @@ class _Scheduled:
     dep_set: frozenset = field(default_factory=frozenset)
 
 
-def _trimmed_children(node: la.LAExpr) -> List[la.LAExpr]:
-    """Children as the tape visits them (unweighted weight child skipped)."""
-    children = list(node.children)
-    if isinstance(node, (la.WSLoss, la.MMChain)) and (
-        isinstance(node.w, la.Literal) and node.w.value == 1.0
-    ):
-        children = children[:-1]
-    return children
-
-
 def plan_regions(
     expr: la.LAExpr,
     n_slots: int,
@@ -205,6 +194,7 @@ def plan_regions(
     outside the tape's operator set or symbolic ``FilledMatrix`` dims.
     """
     hints: Mapping[int, Optional[float]] = slot_sparsity or {}
+    real_kernels = kernels.for_ring(None)
 
     consts: List[Tuple[int, la.LAExpr]] = []
     sched: List[_Scheduled] = []
@@ -249,13 +239,11 @@ def plan_regions(
             dense[position] = node.value != 0.0
             dep_sets[position] = frozenset()
             return position
-        if not isinstance(node, _SUPPORTED_TYPES):
-            raise CodegenUnsupported(
-                f"cannot lower node {type(node).__name__} to fused code"
-            )
-        if isinstance(node, la.UnaryFunc) and node.func not in _UNARY_KERNELS:
-            raise CodegenUnsupported(f"unknown unary function {node.func!r}")
-        operands = tuple(visit(child) for child in _trimmed_children(node))
+        try:
+            children = kernels.bind(node, real_kernels).operands
+        except kernels.ExecutionError as error:
+            raise CodegenUnsupported(str(error)) from error
+        operands = tuple(visit(child) for child in children)
         position = new_position()
         index[id(node)] = position
         dep_sets[position] = frozenset().union(
@@ -347,21 +335,6 @@ def plan_regions(
         regions=regions,
         root_position=root_position,
     )
-
-
-_SUPPORTED_TYPES = ELEMWISE_TYPES + (
-    la.MatMul,
-    la.Transpose,
-    la.RowSums,
-    la.ColSums,
-    la.Sum,
-    la.CastScalar,
-    la.WSLoss,
-    la.WCeMM,
-    la.WDivMM,
-    la.SProp,
-    la.MMChain,
-)
 
 
 def _predict_dense(

@@ -20,15 +20,24 @@ ring-generic kernels built from the ring's ⊕/⊗ ufuncs.  Ring kernels stay
 dense on purpose: a SciPy CSR's implicit entries are real ``0.0``, which is
 *not* the additive identity of every ring (min-plus zero is ``+inf``), so
 sparse compaction is only meaningful under real arithmetic.
+
+:func:`bind` is the one node-to-kernel dispatch of the runtime: it maps a
+plan node to the kernel-set callable that computes it, the children that
+callable reads and the interpreter's accounting label.  The interpreter,
+the instruction tape and the fused tier's guard fallback all execute
+through it, so they cannot disagree about what a node means.
+:func:`materialize` is the matching single rule for constant leaves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
 
+from repro.lang import expr as la
 from repro.runtime.data import MatrixValue
 from repro.runtime.semiring import Semiring, resolve_semiring
 
@@ -264,6 +273,11 @@ def fill(value: float, rows: int, cols: int) -> MatrixValue:
     return MatrixValue.filled(value, rows, cols)
 
 
+def cast_scalar(a: MatrixValue) -> MatrixValue:
+    """``as.scalar``: a 1x1 value as a scalar (ring-independent)."""
+    return MatrixValue.scalar(a.scalar_value())
+
+
 #: cells bound for the broadcast temporary of the generic ring matmul
 _MATMUL_BLOCK_CELLS = 1 << 21
 
@@ -420,6 +434,7 @@ class KernelSet:
         "unary",
         "literal",
         "fill",
+        "cast_scalar",
         "wsloss",
         "wcemm",
         "wdivmm",
@@ -445,6 +460,7 @@ class KernelSet:
             self.unary = unary
             self.literal = literal
             self.fill = fill
+            self.cast_scalar = cast_scalar
             self.wsloss = wsloss
             self.wcemm = wcemm
             self.wdivmm = wdivmm
@@ -474,6 +490,7 @@ class KernelSet:
         self.unary = _unsupported(ring, "unary")
         self.literal = _ring_literal(ring)
         self.fill = _ring_fill(ring)
+        self.cast_scalar = cast_scalar
         self.wsloss = _unsupported(ring, "wsloss")
         self.wcemm = _unsupported(ring, "wcemm")
         self.wdivmm = _unsupported(ring, "wdivmm")
@@ -492,3 +509,90 @@ def for_ring(ring: Optional[object] = None) -> KernelSet:
         cached = KernelSet(resolved)
         _KERNEL_SETS[resolved.name] = cached
     return cached
+
+
+# ---------------------------------------------------------------------------
+# Node-to-kernel binding
+# ---------------------------------------------------------------------------
+
+
+class ExecutionError(RuntimeError):
+    """Raised when an LA expression cannot be evaluated."""
+
+
+class Binding(NamedTuple):
+    """How one plan node executes under one :class:`KernelSet`.
+
+    ``kernel(*values)`` over the values of ``operands`` (in order) is the
+    node's value.  ``label`` keys the interpreter's
+    ``ExecutionStats.operator_counts``; ``fused`` marks SystemML's fused
+    physical operators.
+    """
+
+    kernel: Callable[..., MatrixValue]
+    operands: Tuple[la.LAExpr, ...]
+    label: str
+    fused: bool
+
+
+#: node type -> (KernelSet attribute, accounting label, fused operator);
+#: ``UnaryFunc`` is labelled by its function name
+_BINDINGS: Dict[type, Tuple[str, str, bool]] = {
+    la.MatMul: ("matmul", "matmul", False),
+    la.ElemMul: ("elem_mul", "elemmul", False),
+    la.ElemPlus: ("elem_add", "elemplus", False),
+    la.ElemMinus: ("elem_sub", "elemminus", False),
+    la.ElemDiv: ("elem_div", "elemdiv", False),
+    la.Transpose: ("transpose", "transpose", False),
+    la.RowSums: ("row_sums", "rowsums", False),
+    la.ColSums: ("col_sums", "colsums", False),
+    la.Sum: ("full_sum", "sum", False),
+    la.Power: ("power", "power", False),
+    la.Neg: ("negate", "neg", False),
+    la.UnaryFunc: ("unary", "", False),
+    la.CastScalar: ("cast_scalar", "cast", False),
+    la.WSLoss: ("wsloss", "wsloss", True),
+    la.WCeMM: ("wcemm", "wcemm", True),
+    la.WDivMM: ("wdivmm", "wdivmm", True),
+    la.SProp: ("sprop", "sprop", True),
+    la.MMChain: ("mmchain", "mmchain", True),
+}
+
+
+def bind(node: la.LAExpr, kernel_set: KernelSet) -> Binding:
+    """The kernel that computes ``node`` under ``kernel_set``.
+
+    Leaves (``Var``, ``Literal``, ``FilledMatrix``) do not bind: each
+    executor looks up its inputs itself and materializes constants through
+    :func:`materialize`.
+    """
+    spec = _BINDINGS.get(type(node))
+    if spec is None:
+        raise ExecutionError(f"cannot execute node {type(node).__name__}")
+    attr, label, fused = spec
+    kernel = getattr(kernel_set, attr)
+    operands = node.children
+    if isinstance(node, la.Power):
+        kernel = partial(kernel, exponent=node.exponent)
+    elif isinstance(node, la.UnaryFunc):
+        kernel, label = partial(kernel, node.func), node.func
+    elif isinstance(node, la.WDivMM):
+        kernel = partial(kernel, multiply_left=node.multiply_left)
+    elif isinstance(node, (la.WSLoss, la.MMChain)) and (
+        isinstance(node.w, la.Literal) and node.w.value == 1.0
+    ):
+        # A Literal(1.0) weight means unweighted: the kernel never reads it,
+        # so no executor evaluates it (w is the last child of both types).
+        kernel, operands = partial(kernel, w=None), operands[:-1]
+    return Binding(kernel, operands, label, fused)
+
+
+def materialize(node: la.LAExpr, kernel_set: KernelSet) -> MatrixValue:
+    """The value of a constant leaf (``Literal`` or ``FilledMatrix``)."""
+    if isinstance(node, la.Literal):
+        return kernel_set.literal(node.value)
+    rows = node.fill_shape.rows.size  # type: ignore[attr-defined]
+    cols = node.fill_shape.cols.size  # type: ignore[attr-defined]
+    if rows is None or cols is None:
+        raise ExecutionError("FilledMatrix requires concrete dimensions to execute")
+    return kernel_set.fill(node.value, rows, cols)  # type: ignore[attr-defined]

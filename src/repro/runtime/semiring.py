@@ -1,10 +1,8 @@
 """The runtime ``Semiring`` protocol: rings the engine can execute over.
 
-Originally this lived in ``repro.analysis.semiring`` as audit-only
-infrastructure; the differential rule audit (PR 8) proved 87/100 rewrites
-any-semiring sound, which cleared the way to promote the type here and
-parameterize the *execution* stack by ring.  ``repro.analysis.semiring``
-re-exports everything from this module for backwards compatibility.
+The differential rule audit (:mod:`repro.analysis.rules_audit`) proved
+87/100 rewrites any-semiring sound, which is what lets the *execution*
+stack be parameterized by ring; the audit and the engine share this module.
 
 A :class:`Semiring` bundles the carrier operations (⊕, ⊗, their identities,
 the ⊕-reduction used by aggregation) with the *capability flags* the rule

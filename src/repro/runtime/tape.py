@@ -2,9 +2,9 @@
 
 :class:`repro.runtime.engine.Executor` interprets an LA DAG recursively on
 every run — structural hashing for runtime CSE, per-intermediate bufferpool
-accounting, a dispatch ``isinstance`` ladder per node.  That bookkeeping is
-what the run-time figures report, but a serving tier executing one cached
-plan millions of times pays it on every request.
+accounting, a kernel binding per node.  That bookkeeping is what the
+run-time figures report, but a serving tier executing one cached plan
+millions of times pays it on every request.
 
 A :class:`TapePlan` compiles a *slot-space* plan (as stored in
 :class:`repro.api.plan.PlanEntry`) once into a flat instruction tape:
@@ -12,8 +12,9 @@ A :class:`TapePlan` compiles a *slot-space* plan (as stored in
 * the DAG is linearized bottom-up with **object-identity sharing** (no
   structural hashing at run time — sharing was already decided at compile
   time);
-* every step is a closure over its kernel and operand positions, so a run
-  is one tight loop over the tape;
+* every step is a closure over the kernel :func:`repro.runtime.kernels.bind`
+  picks for its node and its operand positions, so a run is one tight loop
+  over the tape;
 * constants (``Literal``, ``FilledMatrix``) are materialized once at tape
   compile time, not per request;
 * each step records which input **slots** it transitively depends on, which
@@ -31,9 +32,9 @@ Steps fed by varying inputs simply miss and recompute.  Callers that mutate
 input arrays in place must not share value objects across requests (the
 same contract NumPy views have always had).
 
-The tape produces numerically identical results to the interpreter — it
-calls the same :mod:`repro.runtime.kernels` in the same operand order — and
-the unit suite asserts parity on every workload.  What it does *not*
+The tape produces bitwise identical results to the interpreter — both run
+the same :func:`~repro.runtime.kernels.bind` binding per node — and the
+unit suite asserts parity on every workload.  What it does *not*
 produce is the interpreter's per-intermediate cell/nnz accounting;
 :attr:`ExecutionStats.operators_executed` and ``fused_operators`` are
 filled from tape metadata and ``elapsed`` is measured, the rest stays zero.
@@ -44,7 +45,8 @@ statistics matter more than latency.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import count
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.lang import expr as la
 from repro.reliability.faults import FaultInjector
@@ -239,16 +241,17 @@ class TapePlan:
         Fault contract (``tape.step``): with ``faults`` given, the site is
         checked before every step with the step index as its key — it
         models a transient kernel fault mid-plan.  An injected retriable
-        error aborts this run (no partial result escapes; the value vector
-        is local) and the serving retry loop re-executes the pure tape
-        from scratch.  The ``faults is None`` default keeps the production
-        loop free of per-step checks.
+        error aborts this run (no partial result escapes; the pooled value
+        vector is cleared on release) and the serving retry loop
+        re-executes the pure tape from scratch.  The ``faults is None``
+        default keeps the production loop free of per-step checks.
 
         With ``profiler`` (see :class:`repro.obs.profile.TapeProfiler`),
         every step is individually timed and its output recorded, which
         is what attributes wall-time and intermediate cells to plan
         nodes.  All three hooks default to ``None`` so the production
-        loop stays a bare dispatch over the tape.
+        loop stays a bare dispatch over the tape; hooked runs go through
+        :func:`run_hooked_steps`, which the fused tier shares.
         """
         if len(values) != self.n_slots:
             raise ExecutionError(
@@ -256,45 +259,23 @@ class TapePlan:
             )
         start = time.perf_counter()
         base = self.n_slots
-        if reuse is None and faults is None and profiler is None:
-            # no-hooks fast path: run on a pooled scratch buffer instead of
-            # rebuilding the value vector per request
-            vals = self._pool.acquire()
-            vals[:base] = values
-            try:
+        vals = self._pool.acquire()
+        vals[:base] = values
+        try:
+            if reuse is None and faults is None and profiler is None:
                 for index, step in enumerate(self._steps):
                     vals[base + index] = step(vals)
-                value = vals[self._root]
-            finally:
-                self._pool.release(vals)
-        else:
-            vals = list(values) + [None] * len(self._steps)
-            for index, step in enumerate(self._steps):
-                if faults is not None:
-                    faults.check("tape.step", str(index))
-                deps = self._slot_deps[index]
-                step_start = time.perf_counter() if profiler is not None else 0.0
-                reused = False
-                if reuse is not None and deps:
-                    operands = tuple(vals[slot] for slot in deps)
-                    cached = reuse.lookup(index, operands)
-                    if cached is not None:
-                        vals[base + index] = cached
-                        reused = True
-                    else:
-                        value = step(vals)
-                        reuse.store(index, operands, value)
-                        vals[base + index] = value
-                else:
-                    vals[base + index] = step(vals)
-                if profiler is not None:
-                    profiler.record(
-                        index,
-                        time.perf_counter() - step_start,
-                        vals[base + index],
-                        reused,
-                    )
+            else:
+                run_hooked_steps(
+                    vals,
+                    zip(self._steps, count(base), self._slot_deps),
+                    reuse,
+                    faults,
+                    profiler,
+                )
             value = vals[self._root]
+        finally:
+            self._pool.release(vals)
         stats = ExecutionStats(
             elapsed=time.perf_counter() - start,
             operators_executed=len(self._steps),
@@ -306,129 +287,85 @@ class TapePlan:
 
     # -- compilation -----------------------------------------------------------
     def _compile(self, expr: la.LAExpr) -> int:
-        index: Dict[int, int] = {}
+        k = self._kernels
+        positions: Dict[int, int] = {}
         deps: Dict[int, frozenset] = {}
         keep_alive: List[la.LAExpr] = []  # pins node ids for the memo's lifetime
 
-        def emit(fn: StepFn, dep_set: frozenset, fused: bool = False) -> int:
-            position = self.n_slots + len(self._steps)
-            self._steps.append(fn)
-            self._slot_deps.append(tuple(sorted(dep_set)))
-            self._step_nodes.append(None)
-            if fused:
-                self._fused_steps += 1
-            return position
-
         def visit(node: la.LAExpr) -> int:
-            known = index.get(id(node))
+            known = positions.get(id(node))
             if known is not None:
                 return known
             keep_alive.append(node)
-            position, dep_set = self._compile_node(node, visit, deps, emit)
-            index[id(node)] = position
+            if isinstance(node, la.Var):
+                position = _slot_index(node.name, self.n_slots)
+                dep_set = frozenset((position,))
+            else:
+                if isinstance(node, (la.Literal, la.FilledMatrix)):
+                    # constants are materialized once, not per request
+                    constant = kernels.materialize(node, k)
+                    step: StepFn = lambda vals: constant
+                    dep_set, fused = frozenset(), False
+                else:
+                    binding = kernels.bind(node, k)
+                    args = [visit(child) for child in binding.operands]
+                    dep_set = frozenset().union(*(deps[arg] for arg in args))
+                    step, fused = _step(binding.kernel, args), binding.fused
+                position = self.n_slots + len(self._steps)
+                self._steps.append(step)
+                self._slot_deps.append(tuple(sorted(dep_set)))
+                self._step_nodes.append(node)
+                self._fused_steps += fused
+            positions[id(node)] = position
             deps[position] = dep_set
-            if position >= self.n_slots:
-                # Each node emits at most one step; attribute it for profiling.
-                self._step_nodes[position - self.n_slots] = node
             return position
 
         return visit(expr)
 
-    def _compile_node(
-        self,
-        node: la.LAExpr,
-        visit: Callable[[la.LAExpr], int],
-        deps: Dict[int, frozenset],
-        emit: Callable[..., int],
-    ) -> Tuple[int, frozenset]:
-        k = self._kernels
-        if isinstance(node, la.Var):
-            slot = _slot_index(node.name, self.n_slots)
-            return slot, frozenset((slot,))
-        if isinstance(node, la.Literal):
-            constant = k.literal(node.value)
-            return emit(lambda vals, c=constant: c, frozenset()), frozenset()
-        if isinstance(node, la.FilledMatrix):
-            rows = node.fill_shape.rows.size
-            cols = node.fill_shape.cols.size
-            if rows is None or cols is None:
-                raise ExecutionError("FilledMatrix requires concrete dimensions to execute")
-            constant = k.fill(node.value, rows, cols)
-            return emit(lambda vals, c=constant: c, frozenset()), frozenset()
 
-        # Mirror the interpreter: a Literal(1.0) weight on WSLoss/MMChain
-        # means unweighted — the kernel never reads it, so the weight child
-        # is not visited (no dead constant step, operator counts match).
-        children = list(node.children)
-        unweighted = isinstance(node, (la.WSLoss, la.MMChain)) and (
-            isinstance(node.w, la.Literal) and node.w.value == 1.0
-        )
-        if unweighted:
-            children = children[:-1]  # w is the last child of both node types
-        kids = [visit(child) for child in children]
-        dep_set = frozenset().union(*(deps.get(k, frozenset()) for k in kids))
+def _step(kernel: Callable[..., MatrixValue], args: Sequence[int]) -> StepFn:
+    """A tape instruction: ``kernel`` over the values at positions ``args``."""
+    if len(args) == 1:
+        (a,) = args
+        return lambda vals: kernel(vals[a])
+    if len(args) == 2:
+        a, b = args
+        return lambda vals: kernel(vals[a], vals[b])
+    return lambda vals: kernel(*[vals[arg] for arg in args])
 
-        if isinstance(node, la.MatMul):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.matmul: op(vals[a], vals[b])
-        elif isinstance(node, la.ElemMul):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.elem_mul: op(vals[a], vals[b])
-        elif isinstance(node, la.ElemPlus):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.elem_add: op(vals[a], vals[b])
-        elif isinstance(node, la.ElemMinus):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.elem_sub: op(vals[a], vals[b])
-        elif isinstance(node, la.ElemDiv):
-            fn = lambda vals, a=kids[0], b=kids[1], op=k.elem_div: op(vals[a], vals[b])
-        elif isinstance(node, la.Transpose):
-            fn = lambda vals, a=kids[0], op=k.transpose: op(vals[a])
-        elif isinstance(node, la.RowSums):
-            fn = lambda vals, a=kids[0], op=k.row_sums: op(vals[a])
-        elif isinstance(node, la.ColSums):
-            fn = lambda vals, a=kids[0], op=k.col_sums: op(vals[a])
-        elif isinstance(node, la.Sum):
-            fn = lambda vals, a=kids[0], op=k.full_sum: op(vals[a])
-        elif isinstance(node, la.Power):
-            fn = lambda vals, a=kids[0], e=node.exponent, op=k.power: op(vals[a], e)
-        elif isinstance(node, la.Neg):
-            fn = lambda vals, a=kids[0], op=k.negate: op(vals[a])
-        elif isinstance(node, la.UnaryFunc):
-            fn = lambda vals, a=kids[0], f=node.func, op=k.unary: op(f, vals[a])
-        elif isinstance(node, la.CastScalar):
-            fn = lambda vals, a=kids[0]: MatrixValue.scalar(vals[a].scalar_value())
-        elif isinstance(node, la.WSLoss):
-            # Mirror the interpreter: a Literal(1.0) weight means unweighted.
-            if isinstance(node.w, la.Literal) and node.w.value == 1.0:
-                fn = lambda vals, x=kids[0], u=kids[1], v=kids[2], op=k.wsloss: op(
-                    vals[x], vals[u], vals[v], None
-                )
+
+def run_hooked_steps(
+    vals: List[Optional[MatrixValue]],
+    steps: Iterable[Tuple[StepFn, int, Tuple[int, ...]]],
+    reuse: Optional[StepReuseCache],
+    faults: Optional[FaultInjector],
+    profiler: Optional[TapeProfilerLike],
+) -> None:
+    """Run ``(step, output position, slot deps)`` triples with serving hooks.
+
+    The one hooked step loop of :meth:`TapePlan.execute` and
+    :meth:`repro.runtime.codegen.FusedPlan.execute`; step ``i`` of
+    ``steps`` is the ``tape.step`` fault key, the reuse-cache entry and the
+    profiler row ``i``.
+    """
+    for index, (step, out, deps) in enumerate(steps):
+        if faults is not None:
+            faults.check("tape.step", str(index))
+        step_start = time.perf_counter() if profiler is not None else 0.0
+        reused = False
+        if reuse is not None and deps:
+            operands = tuple(vals[slot] for slot in deps)
+            value = reuse.lookup(index, operands)
+            if value is not None:
+                reused = True
             else:
-                fn = lambda vals, x=kids[0], u=kids[1], v=kids[2], w=kids[3], op=k.wsloss: op(
-                    vals[x], vals[u], vals[v], vals[w]
-                )
-            return emit(fn, dep_set, fused=True), dep_set
-        elif isinstance(node, la.WCeMM):
-            fn = lambda vals, x=kids[0], u=kids[1], v=kids[2], op=k.wcemm: op(
-                vals[x], vals[u], vals[v]
-            )
-            return emit(fn, dep_set, fused=True), dep_set
-        elif isinstance(node, la.WDivMM):
-            fn = lambda vals, x=kids[0], u=kids[1], v=kids[2], ml=node.multiply_left, op=k.wdivmm: (
-                op(vals[x], vals[u], vals[v], ml)
-            )
-            return emit(fn, dep_set, fused=True), dep_set
-        elif isinstance(node, la.SProp):
-            fn = lambda vals, a=kids[0], op=k.sprop: op(vals[a])
-            return emit(fn, dep_set, fused=True), dep_set
-        elif isinstance(node, la.MMChain):
-            if isinstance(node.w, la.Literal) and node.w.value == 1.0:
-                fn = lambda vals, x=kids[0], v=kids[1], op=k.mmchain: op(vals[x], vals[v], None)
-            else:
-                fn = lambda vals, x=kids[0], v=kids[1], w=kids[2], op=k.mmchain: op(
-                    vals[x], vals[v], vals[w]
-                )
-            return emit(fn, dep_set, fused=True), dep_set
+                value = step(vals)
+                reuse.store(index, operands, value)
         else:
-            raise ExecutionError(f"cannot compile node {type(node).__name__} to a tape")
-        return emit(fn, dep_set), dep_set
+            value = step(vals)
+        vals[out] = value
+        if profiler is not None:
+            profiler.record(index, time.perf_counter() - step_start, value, reused)
 
 
 def _slot_index(name: str, n_slots: int) -> int:

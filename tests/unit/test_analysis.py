@@ -51,7 +51,7 @@ class TestParseSoundness:
         assert rules_audit.parse_soundness(None) is None
 
     def test_predicted_filters_by_capability(self):
-        from repro.analysis.semiring import AUDIT_SEMIRINGS
+        from repro.runtime.semiring import AUDIT_SEMIRINGS
 
         any_ring = rules_audit.SoundnessClaim(rings="any-semiring")
         assert len(any_ring.predicted(AUDIT_SEMIRINGS)) == 4

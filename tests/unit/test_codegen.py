@@ -1,7 +1,8 @@
 """Unit tests for fused code generation (``repro.runtime.codegen``).
 
-Covers the fusion planner, the source emitter, backend selection and the
-module cache, the plan store's kernel-source tier, the columnwise batching
+Covers the shared node-to-kernel dispatch every executor runs through, the
+fusion planner, the source emitter, the codegen switch and the module
+cache, the plan store's kernel-source tier, the columnwise batching
 analysis, the serving tier's stacked execution, and the plan API surfacing.
 Bitwise parity across whole workloads lives in
 ``tests/property/test_codegen_parity.py``.
@@ -9,24 +10,27 @@ Bitwise parity across whole workloads lives in
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.lang import expr as la
 from repro.lang.dims import Dim, Shape
+from repro.runtime import kernels
 from repro.runtime.codegen import (
-    BACKEND_ENV,
     CODEGEN_VERSION,
     FusedPlan,
     build_executable,
     clear_module_cache,
     compile_fused,
     emit_source,
-    numba_available,
     plan_regions,
     resolve_backend,
     source_digest,
     stackable_slot,
 )
+from repro.runtime.codegen.plan import _build_fallback
 from repro.runtime.data import MatrixValue
+from repro.runtime.engine import ExecutionError, Executor
+from repro.runtime.semiring import resolve_semiring
 from repro.runtime.tape import TapePlan, ValuePool
 from repro.serialize.store import PlanStore
 
@@ -62,6 +66,138 @@ def _chain_expr():
 def _dense_inputs(n_slots, rows=24, cols=18, seed=0):
     rng = np.random.default_rng(seed)
     return [MatrixValue(rng.random((rows, cols))) for _ in range(n_slots)]
+
+
+# ---------------------------------------------------------------------------
+# One node-to-kernel dispatch
+# ---------------------------------------------------------------------------
+
+_DM, _DN, _DR, _ONE = Dim("dm", 16), Dim("dn", 12), Dim("dr", 3), Dim("one", 1)
+_LEAF_TYPES = {la.Var, la.Literal, la.FilledMatrix}
+_FUSED_OPERATOR_TYPES = (la.WSLoss, la.WCeMM, la.WDivMM, la.SProp, la.MMChain)
+_RINGS = ("real", "min-plus", "max-times", "bool")
+
+_ANY_RING = lambda ring: True
+_REAL_ONLY = lambda ring: ring.is_real
+
+
+def _node_cases():
+    """``(id, one-node slot plan, rings whose KernelSet expresses it)``."""
+
+    def slots(*dims):
+        return [la.Var(f"@{i}", Shape(*pair)) for i, pair in enumerate(dims)]
+
+    mn, nr, mr, rn = (_DM, _DN), (_DN, _DR), (_DM, _DR), (_DR, _DN)
+
+    def unary(cls):
+        return cls(*slots(mn))
+
+    def binary(cls):
+        return cls(*slots(mn, mn))
+
+    return [
+        ("MatMul", la.MatMul(*slots(mn, nr)), _ANY_RING),
+        ("ElemMul", binary(la.ElemMul), _ANY_RING),
+        ("ElemPlus", binary(la.ElemPlus), _ANY_RING),
+        ("ElemMinus", binary(la.ElemMinus), lambda ring: ring.has_subtraction),
+        ("ElemDiv", binary(la.ElemDiv), lambda ring: ring.has_division),
+        ("Transpose", unary(la.Transpose), _ANY_RING),
+        ("RowSums", unary(la.RowSums), _ANY_RING),
+        ("ColSums", unary(la.ColSums), _ANY_RING),
+        ("Sum", unary(la.Sum), _ANY_RING),
+        ("Power", la.Power(*slots(mn), 2.0), _ANY_RING),
+        ("Neg", unary(la.Neg), _REAL_ONLY),
+        ("UnaryFunc", la.UnaryFunc("sqrt", *slots(mn)), _REAL_ONLY),
+        ("CastScalar", la.CastScalar(*slots((_ONE, _ONE))), _ANY_RING),
+        ("WSLoss", la.WSLoss(*slots(mn, mr, (_DN, _DR), mn)), _REAL_ONLY),
+        ("WSLoss-unweighted", la.WSLoss(*slots(mn, mr, (_DN, _DR)), la.Literal(1.0)), _REAL_ONLY),
+        ("WCeMM", la.WCeMM(*slots(mn, mr, rn)), _REAL_ONLY),
+        ("WDivMM", la.WDivMM(*slots(mn, mr, rn), True), _REAL_ONLY),
+        ("SProp", unary(la.SProp), _REAL_ONLY),
+        ("MMChain", la.MMChain(*slots(mn, (_DN, _ONE), (_DM, _ONE))), _REAL_ONLY),
+        ("MMChain-unweighted", la.MMChain(*slots(mn, (_DN, _ONE)), la.Literal(1.0)), _REAL_ONLY),
+    ]
+
+
+_NODE_CASES = _node_cases()
+
+
+def _ring_inputs(expr, ring, seed=0):
+    """Slot values valid under ``ring``; under real the first is sparse CSR."""
+    rng = np.random.default_rng(seed)
+    slot_vars = sorted(
+        {node for node in expr.walk() if isinstance(node, la.Var)},
+        key=lambda var: var.name,
+    )
+    values = []
+    for var in slot_vars:
+        shape = (var.shape.rows.size, var.shape.cols.size)
+        if ring.name == "bool":
+            data = rng.integers(0, 2, size=shape).astype(float)
+        else:
+            data = rng.integers(1, 8, size=shape) / 4.0  # dyadic: exact sums
+        if ring.is_real and not values and data.size > 1:
+            data = np.where(rng.random(shape) < 0.1, data, 0.0)
+            values.append(MatrixValue(sparse.csr_matrix(data)))
+        else:
+            values.append(MatrixValue(data))
+    return values
+
+
+def _three_executors(expr, values, ring):
+    """Run the interpreter, the tape and the fused-region fallback."""
+    n_slots = len(values)
+    region_plan = plan_regions(expr, n_slots, None)
+    assert len(region_plan.regions) == 1 and not region_plan.consts
+    fallback = _build_fallback(region_plan.regions[0], kernels.for_ring(ring))
+    padding = [None] * (region_plan.n_positions - n_slots)
+    return {
+        "interpreter": lambda: Executor(ring).execute_slots(expr, values).value,
+        "tape": lambda: TapePlan(expr, n_slots, ring=ring).execute(values).value,
+        "fused-fallback": lambda: fallback(list(values) + padding),
+    }
+
+
+class TestSharedDispatch:
+    def test_every_node_type_binds_or_is_a_leaf(self):
+        real = kernels.for_ring(None)
+        bound = set()
+        for _case, expr, _rings in _NODE_CASES:
+            binding = kernels.bind(expr, real)
+            assert binding.fused == isinstance(expr, _FUSED_OPERATOR_TYPES)
+            bound.add(type(expr))
+        assert bound | _LEAF_TYPES == set(la.NODE_TYPES.values())
+        assert not bound & _LEAF_TYPES
+        for leaf in (
+            la.Var("@0", Shape(_DM, _DN)),
+            la.Literal(1.0),
+            la.FilledMatrix(1.0, Shape(_DM, _DN)),
+        ):
+            with pytest.raises(ExecutionError):
+                kernels.bind(leaf, real)
+
+    @pytest.mark.parametrize("ring_name", _RINGS)
+    @pytest.mark.parametrize(
+        "case, expr, expressible", _NODE_CASES, ids=[case[0] for case in _NODE_CASES]
+    )
+    def test_one_node_plans_agree_across_executors(self, case, expr, expressible, ring_name):
+        ring = resolve_semiring(ring_name)
+        values = _ring_inputs(expr, ring)
+        runs = _three_executors(expr, values, ring)
+        if not expressible(ring):
+            for executor, run in runs.items():
+                with pytest.raises(kernels.RingKernelError):
+                    run()
+            return
+        results = {executor: run() for executor, run in runs.items()}
+        if ring.is_real:
+            results["fused"] = compile_fused(expr, len(values), ring=ring).execute(values).value
+        expected = results.pop("interpreter")
+        for executor, got in results.items():
+            assert got.is_sparse == expected.is_sparse, f"{case}/{ring_name}: {executor}"
+            assert np.array_equal(got.to_dense(), expected.to_dense(), equal_nan=True), (
+                f"{case}/{ring_name}: {executor} is not bitwise identical"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +324,12 @@ class TestValuePool:
 
 
 class TestBackend:
-    def test_resolution_and_env_flag(self, monkeypatch):
-        assert resolve_backend(None) == "python"
+    def test_only_auto_and_off_are_accepted(self):
+        assert resolve_backend(None) == "auto"
         assert resolve_backend("off") == "off"
-        monkeypatch.setenv(BACKEND_ENV, "off")
-        assert resolve_backend(None) == "off"
-        assert resolve_backend("python") == "python"  # explicit beats env
-        with pytest.raises(ValueError):
-            resolve_backend("fortran")
+        for retired in ("python", "fortran"):
+            with pytest.raises(ValueError):
+                resolve_backend(retired)
 
     def test_off_and_nonreal_rings_return_none(self):
         expr, n_slots = _chain_expr()
@@ -210,20 +344,6 @@ class TestBackend:
             build_executable(expr, n_slots, ring="real", backend="off"), TapePlan
         )
         assert isinstance(build_executable(expr, n_slots, ring="real"), FusedPlan)
-
-    def test_numba_request_degrades_silently_without_numba(self):
-        expr, n_slots = _chain_expr()
-        fused = compile_fused(expr, n_slots, ring="real", backend="numba")
-        assert fused is not None
-        assert fused.backend == "numba"
-        if not numba_available():
-            assert fused.numba_active is False
-        values = _dense_inputs(n_slots)
-        tape = TapePlan(expr, n_slots, ring="real")
-        assert np.array_equal(
-            fused.execute(values).value.to_dense(),
-            tape.execute(values).value.to_dense(),
-        )
 
     def test_module_cache_shares_namespaces(self):
         expr, n_slots = _chain_expr()

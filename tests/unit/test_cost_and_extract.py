@@ -164,6 +164,33 @@ class TestExtractors:
         ilp = ILPExtractor().extract(egraph, root)
         assert ilp.cost == pytest.approx(greedy.cost)
 
+    def test_ilp_fallback_keeps_problem_size_and_status(self, monkeypatch):
+        """A solver that stops on its limit still reports what it was given."""
+        from types import SimpleNamespace
+
+        from repro.extract import ilp as ilp_module
+
+        egraph, root = build_cse_graph()
+        solved = ILPExtractor()
+        solved.extract(egraph, root)
+        assert not solved.last_stats.used_fallback
+
+        stopped = SimpleNamespace(
+            success=False, status=1, message="Time limit reached.", x=None, fun=None
+        )
+        monkeypatch.setattr(ilp_module, "milp", lambda **_kwargs: stopped)
+        extractor = ILPExtractor()
+        result = extractor.extract(egraph, root)
+        stats = extractor.last_stats
+        assert stats.used_fallback
+        assert stats.num_variables == solved.last_stats.num_variables > 0
+        assert stats.num_constraints == solved.last_stats.num_constraints > 0
+        assert stats.solver_status == "fallback (solver status 1: Time limit reached.)"
+        # greedy stays the fallback plan
+        greedy = GreedyExtractor(extractor.cost_fn).extract(egraph, root)
+        assert result.expr == greedy.expr
+        assert result.cost == greedy.cost
+
     def test_extraction_error_for_unextractable_root(self):
         egraph = EGraph()
         wide = egraph.add_term(
